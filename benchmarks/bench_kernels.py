@@ -1,24 +1,26 @@
-"""Kernel bench — vectorized vs scalar batch-ingest wall-clock.
+"""Kernel bench — vectorized vs scalar batch-update wall-clock.
 
-The vector kernel (``repro.core.kernels``) must be *behaviourally
+The vector kernels (``repro.core.kernels``) must be *behaviourally
 invisible*: bit-identical store state and bit-identical ``AccessStats``
-versus the scalar reference for any input stream.  Its only licensed
+versus the scalar reference for any input stream.  Their only licensed
 effect is wall-clock speed.  This bench pins both halves of that
 contract on the acceptance workload — a 100k-edge RMAT stream inserted
-batch-by-batch:
+batch-by-batch, then half of its distinct edges deleted batch-by-batch:
 
+* **equivalence**: after the inserts and again after the deletes, the
+  edge sets and the full stats dict must be equal — a fast wrong kernel
+  fails here, before any timing is looked at;
 * **speed**: the vector kernel must beat the scalar kernel by at least
   ``SPEEDUP_FLOOR`` (3x by default; override with
-  ``REPRO_KERNEL_SPEEDUP_FLOOR`` for noisy shared runners);
-* **equivalence**: final edge sets and the full stats dict must be
-  equal — a slow correct kernel fails the first assert, a fast wrong
-  one fails the second.
+  ``REPRO_KERNEL_SPEEDUP_FLOOR`` for noisy shared runners) on inserts
+  and on deletes alike.
 """
 
 import gc
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import make_store
@@ -34,20 +36,39 @@ N_BATCHES = 4
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_KERNEL_SPEEDUP_FLOOR", "3.0"))
 
 
-def _ingest(kernel: str):
-    edges = rmat_edges(SCALE, N_EDGES, seed=7)
-    stream = EdgeStream(edges, max(1, N_EDGES // N_BATCHES))
-    store = make_store("graphtinker", kernel=kernel)
+def _timed(apply, batches) -> float:
     gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter()
-        for batch in stream.insert_batches():
-            store.insert_batch(batch)
-        elapsed = time.perf_counter() - t0
+        for batch in batches:
+            apply(batch)
+        return time.perf_counter() - t0
     finally:
         gc.enable()
-    return store, elapsed
+
+
+def _run(kernel: str) -> dict:
+    edges = rmat_edges(SCALE, N_EDGES, seed=7)
+    store = make_store("graphtinker", kernel=kernel)
+    t_ins = _timed(store.insert_batch,
+                   EdgeStream(edges, max(1, N_EDGES // N_BATCHES)).insert_batches())
+    inserted = (store.stats.as_dict(), _edge_list(store))
+    # Half of the distinct edges, shuffled, in N_BATCHES batches.
+    live = np.unique(edges, axis=0)
+    doomed = EdgeStream(live, max(1, live.shape[0] // (2 * N_BATCHES)))
+    t_del = _timed(store.delete_batch, list(doomed.delete_batches(seed=11))[:N_BATCHES])
+    return {
+        "t_insert": t_ins,
+        "t_delete": t_del,
+        "n_deleted": store.stats.edges_deleted,
+        "inserted": inserted,
+        "deleted": (store.stats.as_dict(), _edge_list(store)),
+    }
+
+
+def _edge_list(store) -> list:
+    return sorted(zip(*(a.tolist() for a in store.edge_arrays())))
 
 
 def run_all():
@@ -55,45 +76,50 @@ def run_all():
     # on a small prefix so the timed runs compare kernels, not cold starts.
     for kernel in ("scalar", "vector"):
         warm = make_store("graphtinker", kernel=kernel)
-        warm.insert_batch(rmat_edges(SCALE, 5_000, seed=3))
-    scalar, t_scalar = _ingest("scalar")
-    vector, t_vector = _ingest("vector")
-    return {
-        "t_scalar": t_scalar,
-        "t_vector": t_vector,
-        "scalar_stats": scalar.stats.as_dict(),
-        "vector_stats": vector.stats.as_dict(),
-        "scalar_edges": sorted(zip(*(a.tolist() for a in scalar.edge_arrays()))),
-        "vector_edges": sorted(zip(*(a.tolist() for a in vector.edge_arrays()))),
-    }
+        warm_edges = rmat_edges(SCALE, 5_000, seed=3)
+        warm.insert_batch(warm_edges)
+        warm.delete_batch(warm_edges[::2])
+    return {kernel: _run(kernel) for kernel in ("scalar", "vector")}
 
 
 @pytest.mark.benchmark(group="kernels")
 def test_vector_kernel_speedup_and_equivalence(benchmark):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    speedup = results["t_scalar"] / results["t_vector"]
+    scalar, vector = results["scalar"], results["vector"]
+    n_deleted = vector["n_deleted"]
+    speedup = scalar["t_insert"] / vector["t_insert"]
+    delete_speedup = scalar["t_delete"] / vector["t_delete"]
 
     table = Table(
-        f"batch-ingest kernels ({N_EDGES} RMAT edges, {N_BATCHES} batches)",
-        ["kernel", "wall seconds", "edges/s", "speedup"],
+        f"batch-update kernels ({N_EDGES} RMAT edges inserted, "
+        f"{n_deleted} deleted, {N_BATCHES} batches each)",
+        ["op", "kernel", "wall seconds", "edges/s", "speedup"],
     )
-    table.add_row(["scalar", results["t_scalar"],
-                   N_EDGES / results["t_scalar"], 1.0])
-    table.add_row(["vector", results["t_vector"],
-                   N_EDGES / results["t_vector"], speedup])
+    for op, key, n, gain in (("insert", "t_insert", N_EDGES, speedup),
+                             ("delete", "t_delete", n_deleted, delete_speedup)):
+        table.add_row([op, "scalar", scalar[key], n / scalar[key], 1.0])
+        table.add_row([op, "vector", vector[key], n / vector[key], gain])
     emit(table)
     record_bench(
         "kernels",
-        config={"n_edges": N_EDGES, "scale": SCALE, "n_batches": N_BATCHES},
-        wall_s=results["t_vector"],
-        throughput_edges_per_s=N_EDGES / results["t_vector"],
-        metrics={"scalar_wall_s": results["t_scalar"], "speedup": speedup},
+        config={"n_edges": N_EDGES, "scale": SCALE, "n_batches": N_BATCHES,
+                "n_deleted": n_deleted},
+        wall_s=vector["t_insert"],
+        throughput_edges_per_s=N_EDGES / vector["t_insert"],
+        metrics={"scalar_wall_s": scalar["t_insert"], "speedup": speedup,
+                 "delete_wall_s": vector["t_delete"],
+                 "scalar_delete_wall_s": scalar["t_delete"],
+                 "delete_speedup": delete_speedup},
     )
 
     # Equivalence first: a fast-but-wrong kernel must not pass.
-    assert results["vector_stats"] == results["scalar_stats"]
-    assert results["vector_edges"] == results["scalar_edges"]
-    # Then the acceptance speedup on the interpreter clock.
+    assert vector["inserted"] == scalar["inserted"]
+    assert vector["deleted"] == scalar["deleted"]
+    assert scalar["n_deleted"] == n_deleted
+    # Then the acceptance speedups on the interpreter clock.
     assert speedup >= SPEEDUP_FLOOR, (
-        f"vector kernel speedup {speedup:.2f}x below floor {SPEEDUP_FLOOR}x"
+        f"vector insert kernel speedup {speedup:.2f}x below floor {SPEEDUP_FLOOR}x"
+    )
+    assert delete_speedup >= SPEEDUP_FLOOR, (
+        f"vector delete kernel speedup {delete_speedup:.2f}x below floor {SPEEDUP_FLOOR}x"
     )

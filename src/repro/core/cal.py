@@ -293,6 +293,22 @@ class CoarseAdjacencyList:
         self._n_valid -= 1
         self.stats.cal_updates += 1
 
+    def invalidate_many(self, blocks: np.ndarray, slots: np.ndarray) -> None:
+        """Vectorized :meth:`invalidate`: same flags and charges as one
+        call per ``(block, slot)`` pair, repeated pairs included."""
+        blocks = np.asarray(blocks, dtype=np.int64)
+        slots = np.asarray(slots, dtype=np.int64)
+        _, first = np.unique(blocks * self.pool.block_width + slots, return_index=True)
+        blocks = blocks[first]
+        slots = slots[first]
+        src = self.pool._data["src"]
+        live = src[blocks, slots] != CAL_INVALID
+        blocks = blocks[live]
+        src[blocks, slots[live]] = CAL_INVALID
+        np.subtract.at(self._valid_count._data, blocks, 1)
+        self._n_valid -= blocks.shape[0]
+        self.stats.cal_updates += blocks.shape[0]
+
     def read_slot(self, block: int, slot: int) -> tuple[int, int, float]:
         """Return ``(src, dst, weight)`` stored at a CAL address."""
         row = self.pool.row(block)

@@ -1,4 +1,4 @@
-"""Vectorized batch-ingest kernels (the ``kernel="vector"`` fast path).
+"""Vectorized batch-update kernels (the ``kernel="vector"`` fast path).
 
 Equivalence contract
 --------------------
@@ -61,7 +61,26 @@ Large batches are processed in contiguous chunks so the Subblock cache
 stays bounded; chunking composes trivially (the scalar path is itself a
 sequence of per-edge chunks).
 
-Delete batches vectorise the delete-only mechanism the same way.  The
+Delete batches (the delete-only, tombstoning mechanism) vectorise
+differently: instead of a per-op loop, the whole batch walks its descent
+chains one generation at a time — gather every active op's rolled
+Subblock row (main pool at generation 0, overflow pool below), find the
+first match and the first EMPTY cell with ``argmax``, charge the scans
+arithmetically, scatter the tombstones, and send each miss down its
+child pointer.  Three facts make this exact rather than approximate:
+
+* **Fixed chains.**  A delete never allocates or relinks a child
+  edgeblock, so each op's descent chain depends only on its (dense src,
+  dst).
+* **No cross-talk.**  A tombstone (-2) is neither EMPTY (-1) nor any
+  other key's dst, so tombstoning one key can neither end nor lengthen
+  another key's scan, in RHH mode or in full-scan mode.
+* **Only repeats interact.**  Only repeats of the same key see each
+  other's writes; each op gets its occurrence rank within the batch and
+  rank r runs in pass r, which keeps the stream order per key.
+
+CAL copies are then invalidated in one
+:meth:`~repro.core.cal.CoarseAdjacencyList.invalidate_many` call.  The
 delete-and-compact configuration is *not* vectorised: compaction couples
 arbitrary sources through shared CAL group tails (``compact_delete`` can
 move another vertex's copy and re-point it via a cross-source ``find``),
@@ -81,6 +100,7 @@ from repro.core.hashing import (
     subblock_index,
     subblock_index_array,
 )
+from repro.core.pool import EMPTY, TOMBSTONE
 from repro.errors import CapacityError
 
 #: ``cal_block`` sentinel marking "CAL copy not appended yet; ``cal_slot``
@@ -256,36 +276,6 @@ class _SubblockCache:
             )
             self._cache[key] = entry
         return key, entry
-
-    def prefetch_main(self, blocks: np.ndarray, sbs: np.ndarray) -> None:
-        """Bulk-load main-region Subblocks: one gather + ``tolist`` per field.
-
-        Replaces tens of thousands of per-miss slice-and-convert round
-        trips with five ``(k, subblock)`` fancy-index gathers — the chunk's
-        gen-0 Subblock set is known up front from the grouping keys.
-        """
-        k = blocks.shape[0]
-        if k == 0:
-            return
-        size = self._size
-        _, fd, fw, fp, fcb, fcs = self._field_views(MAIN)
-        rows = blocks[:, None]
-        cols = (sbs * size)[:, None] + np.arange(size)
-        d2 = fd[rows, cols].tolist()
-        w2 = fw[rows, cols].tolist()
-        p2 = fp[rows, cols].tolist()
-        cb2 = fcb[rows, cols].tolist()
-        cs2 = fcs[rows, cols].tolist()
-        nsb = self._nsb
-        cache = self._cache
-        bl = blocks.tolist()
-        sl = sbs.tolist()
-        for j in range(k):
-            b = bl[j]
-            s = sl[j]
-            cache[((b << 1) | MAIN) * nsb + s] = (
-                MAIN, b, s, d2[j], w2[j], p2[j], cb2[j], cs2[j],
-            )
 
     def attach_matrix(self, blocks: np.ndarray, sbs: np.ndarray,
                       D: np.ndarray, W: np.ndarray, P: np.ndarray,
@@ -710,6 +700,9 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     stats = gt.stats
     eba = gt.eba
     cal = gt.cal
+    # A negative dst would match the EMPTY/TOMBSTONE sentinels: drop it
+    # before the charged SGH lookup, exactly as delete_edge does.
+    edges = edges[edges[:, 1] >= 0]
     n = edges.shape[0]
     if n == 0:
         return 0
@@ -729,93 +722,97 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     else:
         dense = srcs
 
-    n_vertices = eba.n_vertices  # fixed: deletes never allocate rows
-    valid = (dense >= 0) & (dense < n_vertices)
+    valid = (dense >= 0) & (dense < eba.n_vertices)
     if not valid.any():
         return 0
     dense = dense[valid]
     dsts = dsts[valid]
     m = dense.shape[0]
 
+    # Occurrence rank of each op among the batch's ops on the same key,
+    # in stream order: pass r runs every key's r-th op.
+    order = np.lexsort((np.arange(m), dsts, dense))
+    head = np.ones(m, dtype=bool)
+    head[1:] = (np.diff(dense[order]) != 0) | (np.diff(dsts[order]) != 0)
+    pos = np.arange(m)
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = pos - np.maximum.accumulate(np.where(head, pos, 0))
+
     nsb = cfg.subblocks_per_block
     size = cfg.subblock
     workblock = cfg.workblock
     seed = cfg.seed
     rhh_on = eba._rhh_on
-    max_gen = cfg.max_generations
+    span = np.arange(size)
+    # Deletes allocate nothing, so the backing arrays stay put all chunk.
+    # Generation 0 lives in the main pool, every deeper one in overflow.
+    pools = (eba.main._data, eba.overflow._data)
+    children = (eba._main_children._data, eba._overflow_children._data)
 
-    sb0 = subblock_index_array(dsts, 0, nsb, seed)
-    ib0 = initial_bucket_array(dsts, 0, size, seed)
-    order = np.lexsort((np.arange(m), sb0, dense))
-    l_src = dense[order].tolist()
-    l_dst = dsts[order].tolist()
-    l_sb = sb0[order].tolist()
-    l_ib = ib0[order].tolist()
+    wf = cs = bd = 0
+    hit_src: list[np.ndarray] = []
+    hit_cb: list[np.ndarray] = []
+    hit_cs: list[np.ndarray] = []
+    for r in range(int(rank.max()) + 1):
+        ops = np.flatnonzero(rank == r)
+        src = dense[ops]
+        dst = dsts[ops]
+        block = src
+        for gen in range(cfg.max_generations):
+            data = pools[gen > 0]
+            sb = subblock_index_array(dst, gen, nsb, seed)
+            ib = initial_bucket_array(dst, gen, size, seed)
+            # Roll each Subblock so column t is the t-th probed cell.
+            cols = (sb * size)[:, None] + (ib[:, None] + span) % size
+            rows = block[:, None]
+            dr = data["dst"][rows, cols]
+            hitm = dr == dst[:, None]
+            t_hit = np.where(hitm.any(axis=1), hitm.argmax(axis=1), size)
+            if rhh_on:
+                # An RHH scan stops at the first EMPTY cell.
+                em = dr == EMPTY
+                t_stop = np.where(em.any(axis=1), em.argmax(axis=1), size)
+            else:
+                t_stop = np.full(dst.shape[0], size)
+            hit = t_hit < t_stop
+            scanned = np.minimum(np.minimum(t_hit, t_stop) + 1, size)
+            wf += int(_circular_workblocks_array(ib, scanned, workblock, size).sum())
+            cs += int(scanned.sum())
+            if hit.any():
+                h_rows = block[hit]
+                h_cols = cols[hit, t_hit[hit]]
+                hit_src.append(src[hit])
+                hit_cb.append(data["cal_block"][h_rows, h_cols])
+                hit_cs.append(data["cal_slot"][h_rows, h_cols])
+                data["dst"][h_rows, h_cols] = TOMBSTONE
+                data["cal_block"][h_rows, h_cols] = -1
+                data["cal_slot"][h_rows, h_cols] = -1
+            miss = np.flatnonzero(~hit)
+            child = children[gen > 0][block[miss], sb[miss]]
+            down = child >= 0
+            miss = miss[down]
+            bd += miss.shape[0]
+            if miss.shape[0] == 0:
+                break
+            src = src[miss]
+            dst = dst[miss]
+            block = child[down]
 
-    cache = _SubblockCache(eba, nsb, size)
-    ukey = np.unique(dense * nsb + sb0)
-    cache.prefetch_main(ukey // nsb, ukey % nsb)
-    load = cache.load
-    dirty = cache.dirty
-    find_lists = rhh.rhh_find_lists
-    circ = rhh._circular_workblocks
-    descend = eba._descend
-
-    wf = cs = wb = tombs = edel = 0
-    del_srcs: list[int] = []
-    deleted = 0
-
-    try:
-        for i in range(m):
-            src = l_src[i]
-            dst = l_dst[i]
-            region, block = MAIN, src
-            for gen in range(max_gen):
-                if gen:
-                    sb = subblock_index(dst, gen, nsb, seed)
-                    ib = initial_bucket(dst, gen, size, seed)
-                else:
-                    sb = l_sb[i]
-                    ib = l_ib[i]
-                key, entry = load(region, block, sb)
-                slot, scanned = find_lists(entry[3], dst, ib, rhh_on)
-                end = ib + scanned
-                if 0 < scanned and end <= size:
-                    wf += (end - 1) // workblock - ib // workblock + 1
-                else:
-                    wf += circ(ib, scanned, workblock, size)
-                cs += scanned
-                if slot >= 0:
-                    # Mirror of EdgeblockArray.delete's hit branch plus
-                    # the facade's CAL invalidation (delete-only mode).
-                    cb = entry[6][slot]
-                    csl = entry[7][slot]
-                    entry[3][slot] = -2
-                    entry[6][slot] = -1
-                    entry[7][slot] = -1
-                    dirty[key] = entry
-                    wb += 1
-                    tombs += 1
-                    edel += 1
-                    del_srcs.append(src)
-                    if cal is not None and cb >= 0:
-                        cal.invalidate(cb, csl)
-                    deleted += 1
-                    break
-                nxt = descend(region, block, sb, False)
-                if nxt is None:
-                    break
-                region, block = nxt
-    finally:
-        if del_srcs:
-            ds = np.asarray(del_srcs, dtype=np.int64)
-            np.add.at(eba._degrees, ds, -1)
-            gt.vpa.ensure(int(ds.max()))
-            np.add.at(gt.vpa.degrees, ds, -1)
-        cache.writeback()
-        stats.workblock_fetches += wf
-        stats.cells_scanned += cs
-        stats.workblock_writebacks += wb
-        stats.tombstones_set += tombs
-        stats.edges_deleted += edel
+    stats.workblock_fetches += wf
+    stats.cells_scanned += cs
+    stats.branch_descents += bd
+    if not hit_src:
+        return 0
+    ds = np.concatenate(hit_src)
+    deleted = ds.shape[0]
+    np.add.at(eba._degrees, ds, -1)
+    gt.vpa.ensure(int(ds.max()))
+    np.add.at(gt.vpa.degrees, ds, -1)
+    if cal is not None:
+        cb = np.concatenate(hit_cb)
+        live = cb >= 0
+        cal.invalidate_many(cb[live], np.concatenate(hit_cs)[live])
+    stats.workblock_writebacks += deleted
+    stats.tombstones_set += deleted
+    stats.edges_deleted += deleted
     return deleted

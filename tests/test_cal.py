@@ -78,6 +78,23 @@ class TestUpdateInvalidate:
         cal.invalidate(b, s)
         assert cal.n_edges == 0
 
+    def test_invalidate_many_matches_per_pair_calls(self):
+        """Repeated and already-invalid addresses are charged once, as a
+        loop of :meth:`invalidate` calls would charge them."""
+        one, many = make(), make()
+        addrs = [one.append(i % 6, i, 1.0) for i in range(20)]
+        assert [many.append(i % 6, i, 1.0) for i in range(20)] == addrs
+        one.invalidate(*addrs[3])
+        many.invalidate(*addrs[3])
+        pick = [addrs[i] for i in (0, 5, 5, 3, 12, 0, 19)]
+        for b, s in pick:
+            one.invalidate(b, s)
+        many.invalidate_many(np.array([b for b, _ in pick]), np.array([s for _, s in pick]))
+        assert many.n_edges == one.n_edges == 15
+        assert many.stats.as_dict() == one.stats.as_dict()
+        assert many.pool.raw().tobytes() == one.pool.raw().tobytes()
+        assert np.array_equal(many._valid_count._data, one._valid_count._data)
+
     def test_maintenance_is_o1_no_traversal(self):
         """CAL updates never traverse edges: no block *reads* counted."""
         cal = make(block_size=4)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import GTConfig
 from repro.core.graphtinker import GraphTinker
@@ -24,9 +26,13 @@ from repro.core.hashing import (
     subblock_index,
     subblock_index_array,
 )
+from repro.core.store import store_digest
 from repro.workloads import rmat_edges
 
 SMALL = dict(pagewidth=16, subblock=8, workblock=4, max_generations=64)
+#: Four-cell Subblocks: a few dozen edges of one source already sit at
+#: generation 2 and deeper.
+TINY = dict(pagewidth=8, subblock=4, workblock=2, max_generations=64)
 
 
 def assert_equivalent(scalar: GraphTinker, vector: GraphTinker) -> None:
@@ -212,6 +218,146 @@ class TestEdgeCases:
         scalar, vector = run_pair(GTConfig(), [("insert", edges, weights)])
         assert_equivalent(scalar, vector)
         assert vector.n_edges == 12
+
+
+def assert_bit_identical(scalar: GraphTinker, vector: GraphTinker) -> None:
+    """:func:`assert_equivalent` plus digest, raw pool bytes, degrees and
+    CAL valid counts."""
+    assert_equivalent(scalar, vector)
+    assert store_digest(scalar) == store_digest(vector)
+    assert scalar.eba.main.raw().tobytes() == vector.eba.main.raw().tobytes()
+    assert scalar.eba.overflow.raw().tobytes() == vector.eba.overflow.raw().tobytes()
+    assert np.array_equal(scalar.eba.degrees_view(), vector.eba.degrees_view())
+    if scalar.cal is not None:
+        assert scalar.cal.pool.raw().tobytes() == vector.cal.pool.raw().tobytes()
+        assert np.array_equal(scalar.cal._valid_count._data, vector.cal._valid_count._data)
+        assert scalar.cal.n_edges == vector.cal.n_edges
+
+
+def check_delete_pair(cfg: GTConfig, ops) -> list[int]:
+    """Apply ``ops`` to two stores that insert alike but delete with the
+    scalar and the vector kernel (inserting alike makes their pools
+    byte-comparable); assert bit-identity and equal delete returns, and
+    return those returns."""
+    out = []
+    for kernel in ("scalar", "vector"):
+        gt = GraphTinker(cfg)
+        rets = []
+        for op in ops:
+            if op[0] == "insert":
+                gt.insert_batch(op[1], op[2])
+            else:
+                rets.append(gt.delete_batch(op[1], kernel=kernel))
+        out.append((gt, rets))
+    (scalar, s_rets), (vector, v_rets) = out
+    assert s_rets == v_rets
+    assert_bit_identical(scalar, vector)
+    return v_rets
+
+
+def _pairs(rng, n: int, n_src: int, n_dst: int) -> np.ndarray:
+    return np.column_stack(
+        [rng.integers(0, n_src, n), rng.integers(0, n_dst, n)]
+    ).astype(np.int64)
+
+
+class TestDeleteKernelEquivalence:
+    """The vector delete kernel resolves a batch one generation at a time
+    and runs each key's repeats in later passes; these cases pin the
+    spots where that could drift from the per-edge scalar delete."""
+
+    def test_key_repeated_in_batch(self):
+        rng = np.random.default_rng(41)
+        edges = _pairs(rng, 400, 20, 40)
+        # Each of the first 30 edges appears 3-5 times, interleaved with
+        # one-off deletes, so later repeats scan past their own tombstone.
+        reps = np.repeat(edges[:30], rng.integers(3, 6, 30), axis=0)
+        doomed = np.vstack([reps, edges[100:160]])[rng.permutation(reps.shape[0] + 60)]
+        ops = [("insert", edges, rng.random(400)), ("delete", doomed)]
+        [got] = check_delete_pair(GTConfig(**SMALL), ops)
+        live = {tuple(e) for e in edges.tolist()}
+        assert got == len({tuple(e) for e in doomed.tolist()} & live)
+
+    def test_copies_at_generation_two_and_deeper(self):
+        cfg = GTConfig(**TINY)
+        edges = np.column_stack(
+            [np.zeros(300, dtype=np.int64), np.arange(300, dtype=np.int64)]
+        )
+        probe = GraphTinker(cfg)
+        probe.insert_batch(edges)
+
+        def descents(dst: int) -> int:
+            before = probe.stats.branch_descents
+            assert probe.eba.find(probe.dense_id(0), dst) is not None
+            return probe.stats.branch_descents - before
+
+        assert max(descents(d) for d in range(300)) >= 2
+        rng = np.random.default_rng(5)
+        ops = [("insert", edges, rng.random(300)),
+               ("delete", edges[rng.permutation(300)[:200]])]
+        assert check_delete_pair(cfg, ops) == [200]
+
+    @pytest.mark.parametrize("enable_sgh", [True, False])
+    def test_absent_sources_and_dsts(self, enable_sgh):
+        rng = np.random.default_rng(17)
+        edges = _pairs(rng, 300, 30, 40)
+        absent_src = np.column_stack([np.arange(500, 520), np.arange(20)])
+        absent_dst = np.column_stack([np.arange(20), np.arange(10_000, 10_020)])
+        doomed = np.vstack([absent_src, edges[:80], absent_dst]).astype(np.int64)
+        ops = [("insert", edges, rng.random(300)), ("delete", doomed)]
+        check_delete_pair(GTConfig(**SMALL, enable_sgh=enable_sgh), ops)
+
+    def test_rhh_off_delete_only(self):
+        rng = np.random.default_rng(23)
+        cfg = GTConfig(**TINY, enable_rhh=False)
+        ops = []
+        for _ in range(3):
+            ops.append(("insert", _pairs(rng, 250, 10, 60), rng.random(250)))
+            ops.append(("delete", _pairs(rng, 150, 10, 60)))
+        check_delete_pair(cfg, ops)
+
+    @pytest.mark.parametrize("flag", ["enable_cal", "enable_sgh"])
+    def test_feature_off(self, flag):
+        rng = np.random.default_rng(29)
+        cfg = GTConfig(**TINY, **{flag: False})
+        edges = _pairs(rng, 400, 15, 80)
+        ops = [("insert", edges, rng.random(400)),
+               ("delete", np.vstack([edges[:150], edges[:40], _pairs(rng, 60, 30, 90)]))]
+        check_delete_pair(cfg, ops)
+
+
+_DELETE_CFGS = [
+    TINY,
+    {**TINY, "enable_rhh": False},
+    {**TINY, "enable_cal": False, "enable_sgh": False},
+]
+_batch = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 40)), min_size=1, max_size=60,
+)
+_bad_delete = st.lists(  # deletes may also name negative ids: always a miss
+    st.tuples(st.integers(-1, 6), st.integers(-2, 41)), min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cfg=st.sampled_from(_DELETE_CFGS),
+    batches=st.lists(
+        st.one_of(st.tuples(st.just("insert"), _batch),
+                  st.tuples(st.just("delete"), _batch),
+                  st.tuples(st.just("delete"), _bad_delete)),
+        min_size=1, max_size=8,
+    ),
+)
+def test_interleaved_insert_delete_batches(cfg, batches):
+    ops = []
+    for kind, pairs in batches:
+        edges = np.array(pairs, dtype=np.int64)
+        if kind == "insert":
+            ops.append((kind, edges, np.arange(edges.shape[0], dtype=np.float64)))
+        else:
+            ops.append((kind, edges))
+    check_delete_pair(GTConfig(**cfg), ops)
 
 
 class TestHashArrays:

@@ -144,6 +144,16 @@ class TestMutatorSemantics:
             assert store.edge_weight(bad_src, bad_dst) is None
         assert store.degree(-1) == 0
         assert store.n_edges == 1
+        # The batch path must miss on the same pairs: a negative dst that
+        # matched an EMPTY cell would tombstone it and drop a degree.  The
+        # second batch drops the negative srcs, which may change its route.
+        before = store_digest(store)
+        bad = np.array([[-1, 2], [3, -1], [3, -2], [-1, -1]], dtype=np.int64)
+        for batch in (bad, bad[bad[:, 0] >= 0]):
+            assert store.delete_batch(batch) == 0
+            assert store.n_edges == 1
+            assert store.degree(3) == 1
+            assert store_digest(store) == before
         store.check_invariants()
 
     def test_batches_equal_scalar_loop(self, backend):
